@@ -13,14 +13,18 @@ solved field — we always solve for the largest unspecified field, which for
 an optimal distribution is within a constant factor of the per-device output
 size, i.e. the enumeration is output-sensitive up to ``ceil`` effects.
 
-Two implementations share that algebra:
+Three implementations share that algebra:
 
+* :func:`separable_qualified_flat_batch` — the serving kernel: every
+  device's share of a group of same-pattern queries in one NumPy pass, as
+  flat addresses in serial order.  A single query runs as a batch of one
+  (:meth:`repro.engine.batch.BatchEngine.read_one`), so all M devices are
+  solved in one pass rather than M separate solves;
+* :func:`separable_qualified_on_device_array` — one device's share as an
+  ``(N, n_fields)`` array, bit-identical to the iterator;
 * :func:`separable_qualified_on_device` — the reference iterator, one
-  Python tuple at a time, kept for laziness and as the correctness oracle;
-* :func:`separable_qualified_on_device_array` — the serving fast path,
-  which materialises the same buckets (same row-major order, bit-identical)
-  as one ``(N, n_fields)`` NumPy array via broadcasted fold enumeration and
-  a sorted solve-field lookup.
+  Python tuple at a time: the correctness oracle the kernels are tested
+  against.
 """
 
 from __future__ import annotations

@@ -3,10 +3,9 @@
 :class:`BatchEngine` executes a batch of partial match queries against a
 :class:`~repro.storage.parallel_file.PartitionedFile` and returns, per
 query, an :class:`~repro.storage.executor.ExecutionResult` **byte-identical**
-to what the serial :class:`~repro.storage.executor.QueryExecutor` produces
-— same records in the same order, same per-device bucket counts, same
-modelled times — while touching each (device, bucket) pair at most once for
-the whole batch:
+to serial execution of that query — same records in the same order, same
+per-device bucket counts, same modelled times — while touching each
+(device, bucket) pair at most once for the whole batch:
 
 1. *Plan.*  :class:`~repro.engine.plan.ArrayBatchPlanner` dedupes the batch
    by signature, groups it by pattern and solves each group's inverse
@@ -14,14 +13,19 @@ the whole batch:
    (query, device) plus each device's deduplicated read set.
 2. *Fetch.*  Under the file's mutation lock (one consistent snapshot) each
    device's read set is intersected with its *present* set — a sorted flat
-   array cached per write version — and only those buckets are pulled from
-   the local store, once each.
+   array cached until that device mutates — and only those buckets are
+   pulled from the local store, once each.
 3. *Assemble.*  Each query's slice is matched into the fetched arrays with
    ``searchsorted``; records concatenate in the serial order (device 0..M-1,
    buckets in enumeration order, store insertion order within a bucket).
    Service times are recomputed from the *planned* per-device counts with
    the device's own cost model, accumulated in device order, so the floats
    come out bit-equal to serial execution.
+
+A single query takes the batch-of-one fast path, :meth:`BatchEngine.read_one`
+(behind :class:`~repro.storage.executor.QueryExecutor`, the result cache's
+misses and the uncached service): one kernel call, one present-set lookup
+per device, no planner, dedupe or mask pool.
 
 Failure semantics: a store that verifies reads (e.g.
 :class:`~repro.durability.checksummed_store.ChecksummedBucketStore`) raises
@@ -41,10 +45,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
+from repro.core.inverse import separable_qualified_flat_batch
+from repro.distribution.base import SeparableMethod
 from repro.engine.plan import ArrayBatchPlan, ArrayBatchPlanner
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
@@ -101,35 +108,37 @@ class BatchExecutionReport:
         }
 
 
+@dataclass(slots=True)
 class _PresentSet:
     """One device's stored buckets, flat-encoded and sorted.
 
     ``flats`` is the sorted int64 array of flat addresses; ``buckets[k]``
     is the tuple address of ``flats[k]`` (what the local store is keyed
-    by).  Valid for exactly one write version.
+    by).  Valid while the device still holds ``store`` and its mutation
+    counter still reads ``mutations``.
 
     For stores that do *not* verify reads, ``records[k]`` (and
     ``pages[k]`` when the store is page-aware) snapshot the store's
     answers at build time, so a fetch is pure list gathers with no
     per-bucket store calls.  Left ``None`` for verifying stores — their
-    per-read CRC check is part of the contract and must run every batch.
+    per-read CRC check is part of the contract and must run every read.
     """
 
-    __slots__ = ("version", "flats", "buckets", "records", "pages")
+    store: object
+    mutations: int
+    flats: np.ndarray
+    buckets: list[Bucket]
+    records: list[tuple[object, ...]] | None = None
+    pages: list[int] | None = None
 
-    def __init__(
-        self,
-        version: int,
-        flats: np.ndarray,
-        buckets: list[Bucket],
-        records: list[tuple[object, ...]] | None = None,
-        pages: list[int] | None = None,
-    ):
-        self.version = version
-        self.flats = flats
-        self.buckets = buckets
-        self.records = records
-        self.pages = pages
+
+def _find(flats: np.ndarray, needed: np.ndarray) -> np.ndarray:
+    """Positions in sorted *flats* of the *needed* addresses it holds, in
+    *needed*'s order."""
+    if not needed.size or not flats.size:
+        return needed[:0]
+    positions = np.minimum(np.searchsorted(flats, needed), flats.size - 1)
+    return positions[flats[positions] == needed]
 
 
 class BatchEngine:
@@ -180,7 +189,8 @@ class BatchEngine:
         ) as span:
             try:
                 fetch_started = _now()
-                fetched = self._fetch_devices(plan, report)
+                with self.file.read_locked():
+                    fetched = self._fetch_locked(plan, report)
                 report.fetch_ms = (_now() - fetch_started) * 1000.0
                 distinct_results = self._assemble(plan, fetched)
                 report.results = self._fan_out(plan, distinct_results)
@@ -259,13 +269,8 @@ class BatchEngine:
             buckets: dict[Bucket, tuple[object, ...]] = {}
             for device in range(self.file.filesystem.m):
                 flats, device_buckets, records = fetched[device]
-                slice_flats = plan.slices[(slot, device)]
-                if slice_flats.size == 0 or flats.size == 0:
-                    continue
-                positions = np.searchsorted(flats, slice_flats)
-                positions = positions.clip(0, flats.size - 1)
-                valid = flats[positions] == slice_flats
-                for position in positions[valid].tolist():
+                needed = plan.slices[(slot, device)]
+                for position in _find(flats, needed).tolist():
                     buckets[device_buckets[position]] = records[position]
             distinct_maps.append(buckets)
         return (
@@ -276,19 +281,24 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _present_set(self, device, version: int) -> _PresentSet:
-        """The device's stored buckets as a sorted flat array, cached per
-        write version (any mutation invalidates by version mismatch).
+    def _present_set(self, device) -> _PresentSet:
+        """The device's stored buckets as a sorted flat array, cached until
+        the device's store or its mutation counter changes — a write
+        rebuilds only the device it landed on.
 
         Uses ``tracked_buckets()`` when the store offers it so buckets
         whose page was lost but whose checksum survives are still probed —
         and their corruption surfaced — exactly as a serial read would.
-        Out-of-band store surgery that bypasses the file interface must be
-        followed by :meth:`invalidate`, the same contract as the result
+        Out-of-band store surgery that bypasses the device interface must
+        be followed by :meth:`invalidate`, the same contract as the result
         cache.
         """
         cached = self._present.get(device.device_id)
-        if cached is not None and cached.version == version:
+        if (
+            cached is not None
+            and cached.store is device.store
+            and cached.mutations == device.mutations
+        ):
             return cached
         store = device.store
         tracked = getattr(store, "tracked_buckets", None)
@@ -304,12 +314,14 @@ class BatchEngine:
         records = pages = None
         if buckets and not getattr(store, "verifies_reads", False):
             # Snapshot the store's answers alongside the addresses: valid
-            # for exactly this write version, and only for stores whose
-            # reads are side-effect free (no per-read CRC to preserve).
+            # until the next mutation, and only for stores whose reads are
+            # side-effect free (no per-read CRC to preserve).
             records = [store.records_in(bucket) for bucket in buckets]
             if hasattr(store, "pages_in"):
                 pages = [store.pages_in(bucket) for bucket in buckets]
-        present = _PresentSet(version, flats, buckets, records, pages)
+        present = _PresentSet(
+            store, device.mutations, flats, buckets, records, pages
+        )
         self._present[device.device_id] = present
         return present
 
@@ -317,9 +329,32 @@ class BatchEngine:
         """Drop the cached present sets (after out-of-band store surgery)."""
         self._present.clear()
 
-    def _fetch_devices(self, plan: ArrayBatchPlan, report) -> dict:
-        with self.file.read_locked():
-            return self._fetch_locked(plan, report)
+    @staticmethod
+    def _read_present(
+        device, present: _PresentSet, positions: list[int], probes: int
+    ) -> tuple[list[Bucket], list[tuple[object, ...]], float, int]:
+        """Read the present buckets at *positions* once each, then account
+        one device request of *probes* bucket reads (costed in pages on a
+        page-aware store).  Returns the buckets, their records, the
+        request's service time and the record count.
+        """
+        buckets = [present.buckets[p] for p in positions]
+        store = device.store
+        page_aware = hasattr(store, "pages_in")
+        if present.records is not None:  # non-verifying: gather the snapshot
+            records = [present.records[p] for p in positions]
+            pages = [present.pages[p] for p in positions] if page_aware else ()
+        else:
+            records = [store.records_in(bucket) for bucket in buckets]
+            pages = [store.pages_in(b) for b in buckets] if page_aware else ()
+        returned = sum(map(len, records))
+        device.stats.bucket_reads += probes
+        device.stats.records_returned += returned
+        service = device.cost_model.service_time(
+            sum(pages) if page_aware else probes
+        )
+        device.stats.busy_time_ms += service
+        return buckets, records, service, returned
 
     def _fetch_locked(self, plan: ArrayBatchPlan, report) -> dict:
         """Read each device's deduplicated bucket set once.
@@ -330,72 +365,104 @@ class BatchEngine:
         batch is modelled over the deduplicated read set, page-aware when
         the store is.
         """
-        version = self.file.write_version
         fetched: dict[int, tuple] = {}
+        reads = returned = 0
         for device in self.file.devices:
-            present = self._present_set(device, version)
+            present = self._present_set(device)
             mask = plan.masks.get(device.device_id)
-            if mask is not None and present.flats.size:
+            if mask is not None:
                 # Bitmap path: gather the (small, sorted) present set
                 # through the request-membership mask — no search needed.
                 hit_positions = np.flatnonzero(mask[present.flats])
-                hit_flats = present.flats[hit_positions]
-            elif mask is None and present.flats.size:
-                needed = plan.unique_per_device[device.device_id]
-                if needed.size:
-                    positions = np.searchsorted(present.flats, needed)
-                    positions = positions.clip(0, present.flats.size - 1)
-                    valid = present.flats[positions] == needed
-                    hit_flats = needed[valid]
-                    hit_positions = positions[valid]
-                else:
-                    hit_flats = np.empty(0, dtype=np.int64)
-                    hit_positions = np.empty(0, dtype=np.int64)
             else:
-                hit_flats = np.empty(0, dtype=np.int64)
-                hit_positions = np.empty(0, dtype=np.int64)
-            store = device.store
-            page_aware = hasattr(store, "pages_in")
-            positions_list = hit_positions.tolist()
-            if present.records is not None:
-                # Non-verifying store: the present set snapshots every
-                # bucket's records (and page counts), so the fetch is
-                # pure gathers — no per-bucket store calls.
-                buckets = [present.buckets[p] for p in positions_list]
-                records = [present.records[p] for p in positions_list]
-                returned = sum(map(len, records))
-                if present.pages is not None:
-                    cost_units = sum(
-                        present.pages[p] for p in positions_list
-                    )
-                else:
-                    cost_units = len(buckets)
-            else:
-                buckets = []
-                records = []
-                cost_units = 0
-                returned = 0
-                for position in positions_list:
-                    bucket = present.buckets[position]
-                    bucket_records = store.records_in(bucket)
-                    buckets.append(bucket)
-                    records.append(bucket_records)
-                    returned += len(bucket_records)
-                    if page_aware:
-                        cost_units += store.pages_in(bucket)
-                if not page_aware:
-                    cost_units = len(buckets)
-            device.stats.bucket_reads += len(buckets)
-            device.stats.records_returned += returned
-            service = device.cost_model.service_time(cost_units)
-            device.stats.busy_time_ms += service
+                hit_positions = _find(
+                    present.flats, plan.unique_per_device[device.device_id]
+                )
+            hit_flats = present.flats[hit_positions]
+            positions = hit_positions.tolist()
+            buckets, records, service, count = self._read_present(
+                device, present, positions, len(positions)
+            )
+            reads += len(positions)
+            returned += count
             report.response_time_ms = max(report.response_time_ms, service)
             fetched[device.device_id] = (hit_flats, buckets, records)
-            if buckets:
-                metrics = telemetry().metrics
-                metrics.add("storage.bucket_reads", len(buckets))
-                metrics.add("storage.records_returned", returned)
+        _count_reads(reads, returned)
         return fetched
+
+    def read_one(
+        self, query, assigned_to=None
+    ) -> tuple[ExecutionResult, dict[Bucket, tuple[object, ...]], int]:
+        """Execute one query: the batch of one, without planner or pools.
+
+        One kernel call (:func:`~repro.core.inverse.
+        separable_qualified_flat_batch`) yields every device's qualified
+        flat addresses in serial order; each device's slice is matched
+        against its present set, so only non-empty buckets reach the
+        store, once each, while every planned probe is charged as in the
+        serial model.  Non-separable methods, and callers passing
+        *assigned_to* (``device_id -> buckets``, e.g. a box solver), plan
+        through that generator instead.  Returns the result, the
+        non-empty buckets with their records in serial order, and the
+        snapshot's write version.
+        """
+        method = self.file.method
+        devices = self.file.devices
+        strides = self.planner.strides
+        if assigned_to is None and isinstance(method, SeparableMethod):
+            method._check_query(query)
+            flat, counts = separable_qualified_flat_batch(
+                method, [query], strides
+            )
+            counts = counts[0].tolist()
+        else:
+            solve = assigned_to or partial(
+                method.qualified_on_device, query=query
+            )
+            parts = [list(solve(device.device_id)) for device in devices]
+            counts = [len(part) for part in parts]
+            flat = np.asarray(
+                list(chain.from_iterable(parts)), dtype=np.int64
+            ).reshape(-1, len(strides)) @ strides
+        result = ExecutionResult(query=query)
+        buckets: dict[Bucket, tuple[object, ...]] = {}
+        with trace_span(
+            "query.execute",
+            query=query.describe(),
+            qualified=query.qualified_count,
+        ) as span:
+            with self.file.read_locked():
+                version = self.file.write_version
+                start = returned = 0
+                for device, planned in zip(devices, counts):
+                    present = self._present_set(device)
+                    needed = flat[start:start + planned]
+                    positions = _find(present.flats, needed).tolist()
+                    start += planned
+                    hit_buckets, hit_records, __, count = self._read_present(
+                        device, present, positions, planned
+                    )
+                    returned += count
+                    for bucket, records in zip(hit_buckets, hit_records):
+                        buckets[bucket] = records
+                        result.records.extend(records)
+                    service = device.cost_model.service_time(planned)
+                    result.total_service_ms += service
+                    result.response_time_ms = max(
+                        result.response_time_ms, service
+                    )
+            _count_reads(start, returned)
+            result.buckets_per_device = counts
+            result.largest_response = max(counts, default=0)
+            bound = ceil_div(query.qualified_count, len(devices))
+            result.strict_optimal = result.largest_response <= bound
+            # The paper's metric, observed: per-device qualified buckets
+            # and the modelled response, straight into the telemetry store.
+            span.set_attr("buckets_per_device", list(counts))
+            span.set_attr("largest_response", result.largest_response)
+            span.set_attr("strict_optimal", result.strict_optimal)
+            span.set_attr("response_ms", round(result.response_time_ms, 6))
+        return result, buckets, version
 
     def _assemble(
         self, plan: ArrayBatchPlan, fetched: dict
@@ -494,3 +561,11 @@ class BatchEngine:
                     )
                 )
         return results
+
+
+def _count_reads(probes: int, returned: int) -> None:
+    """One read's device totals into the ``storage.*`` counters."""
+    if probes:
+        metrics = telemetry().metrics
+        metrics.add("storage.bucket_reads", probes)
+        metrics.add("storage.records_returned", returned)

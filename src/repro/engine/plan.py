@@ -175,11 +175,10 @@ class ArrayBatchPlanner:
             )
             plan.requests[device] = (requested, boundaries)
             if self._domain is not None:
-                mask = (
-                    self._mask_pool.pop()
-                    if self._mask_pool
-                    else np.zeros(self._domain, dtype=bool)
-                )
+                try:  # pop() is atomic; a check-then-pop would race
+                    mask = self._mask_pool.pop()
+                except IndexError:
+                    mask = np.zeros(self._domain, dtype=bool)
                 if requested.size:
                     mask[requested] = True
                     # Distinct count: popcount the mask when the stream is

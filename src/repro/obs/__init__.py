@@ -23,7 +23,6 @@ check}`` is the CLI surface.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 from repro.obs.checker import (
     ObservedCheckReport,
@@ -200,11 +199,9 @@ def reset_telemetry() -> None:
     _TELEMETRY.reset()
 
 
-@contextmanager
 def trace_span(name: str, **attrs):
     """Open a span on the global tracer (the hot-path entry point)."""
-    with _TELEMETRY.tracer.span(name, **attrs) as span:
-        yield span
+    return _TELEMETRY.tracer.span(name, **attrs)
 
 
 def current_span():

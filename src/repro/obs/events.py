@@ -1,10 +1,10 @@
 """Structured event log: every finished span and metrics sample, in order.
 
-The :class:`EventLog` is an append-only bounded ring of plain dicts.  Each
-record is one JSON object; :meth:`EventLog.to_jsonl` serialises the log to
-JSON Lines with sorted keys and compact separators, so two runs that record
-the same telemetry (e.g. under a :class:`~repro.obs.clock.ManualClock`)
-export byte-identical files.
+The :class:`EventLog` is an append-only bounded ring of records, read back
+as plain dicts.  Each record is one JSON object; :meth:`EventLog.to_jsonl`
+serialises the log to JSON Lines with sorted keys and compact separators,
+so two runs that record the same telemetry (e.g. under a
+:class:`~repro.obs.clock.ManualClock`) export byte-identical files.
 
 JSONL schema (documented in ``docs/usage.md`` and enforced by
 :func:`validate_record` / the ``obs export --validate`` CLI path):
@@ -28,6 +28,7 @@ The leading ``"v"`` is the process-wide envelope version from
 from __future__ import annotations
 
 import json
+import pickle
 import threading
 from collections import deque
 from collections.abc import Iterable
@@ -47,6 +48,9 @@ __all__ = [
 #: Default ring capacity: enough for every span of a sizeable replay while
 #: bounding memory for long-lived processes.
 DEFAULT_CAPACITY = 65_536
+
+#: Records per packed block of the ring (see :class:`EventLog`).
+PACK_BLOCK = 64
 
 #: The span-event vocabulary the instrumented subsystems emit.  Names are
 #: not enforced by the schema (spans may carry ad-hoc events), but dashboards
@@ -71,42 +75,104 @@ WELL_KNOWN_SPAN_EVENTS = frozenset(
 
 
 class EventLog:
-    """Bounded, thread-safe, append-only log of telemetry records."""
+    """Bounded, thread-safe, append-only log of telemetry records.
+
+    The ring keeps exactly the last *capacity* records, packed so that a
+    full ring stays small: every :data:`PACK_BLOCK` appends are pickled
+    into one bytes block (keys and names stored once per block), and a
+    finished span is kept as its bare fields, its record dict built only
+    when read.  Readers get fresh dicts equal to the appended records.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._records: deque[dict] = deque(maxlen=capacity)
+        self._block = min(PACK_BLOCK, capacity)
+        #: Full blocks, oldest first; ``_skip`` leading entries of the
+        #: oldest one are already evicted.
+        self._packed: deque[bytes | list] = deque()
+        self._skip = 0
+        #: The newest entries, not yet a full block.
+        self._staged: list = []
         #: Total appends ever, including records the ring has evicted.
         self.appended = 0
 
     def append(self, record: dict) -> None:
+        self._add(record)
+
+    def append_span(self, span, origin: float) -> None:
+        """Log a finished span; its record is built from *origin* on read."""
+        self._add(
+            (
+                span.name,
+                span.span_id,
+                span.parent_id,
+                span.start,
+                span.attrs,
+                span.events,
+                span.end,
+                span.trace_id,
+                span.remote,
+                origin,
+            )
+        )
+
+    def _add(self, entry) -> None:
         with self._lock:
-            self._records.append(record)
+            self._staged.append(entry)
             self.appended += 1
+            if len(self._staged) == self._block:
+                try:
+                    block = pickle.dumps(self._staged, pickle.HIGHEST_PROTOCOL)
+                except Exception:  # an unpicklable attribute: keep as is
+                    block = self._staged
+                self._packed.append(block)
+                self._staged = []
+            if self._length() > self.capacity:
+                self._skip += 1
+                if self._skip == self._block:
+                    self._packed.popleft()
+                    self._skip = 0
+
+    def _length(self) -> int:
+        return len(self._packed) * self._block - self._skip + len(self._staged)
 
     def records(self) -> list[dict]:
         """Snapshot of the retained records, oldest first."""
-        with self._lock:
-            return list(self._records)
+        return self.tail(self.capacity)
 
     def tail(self, count: int) -> list[dict]:
         """The most recent *count* records, oldest of them first."""
+        if count <= 0:
+            return []
         with self._lock:
-            if count <= 0:
-                return []
-            return list(self._records)[-count:]
+            entries = list(self._staged)
+            packed = list(self._packed)
+            skip = self._skip
+        chunks = [entries]
+        held = len(entries)
+        for index in range(len(packed) - 1, -1, -1):
+            if held >= count:
+                break
+            block = packed[index]
+            block = pickle.loads(block) if isinstance(block, bytes) else block
+            chunks.append(block[skip:] if index == 0 else block)
+            held += len(chunks[-1])
+        ordered = [entry for chunk in reversed(chunks) for entry in chunk]
+        return [_as_record(entry) for entry in ordered[-count:]]
 
     def clear(self) -> None:
         with self._lock:
-            self._records.clear()
+            self._packed.clear()
+            self._staged = []
+            self._skip = 0
             self.appended = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return self._length()
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -122,6 +188,16 @@ class EventLog:
         text = self.to_jsonl(extra)
         Path(path).write_text(text, encoding="utf-8")
         return text.count("\n")
+
+
+def _as_record(entry) -> dict:
+    """A logged entry as its record dict (spans are kept as bare fields)."""
+    if isinstance(entry, dict):
+        return entry
+    from repro.obs.spans import Span
+
+    *fields, origin = entry
+    return Span(*fields).to_record(origin)
 
 
 def jsonl_line(record: dict) -> str:

@@ -147,8 +147,10 @@ class Histogram:
         self.counts[bisect.bisect_left(self.boundaries, value)] += 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def quantile(self, q: float) -> float | None:
         """Upper-edge estimate of the q-quantile (None when empty)."""

@@ -26,13 +26,15 @@ span, and is marked ``remote`` in its exported record.
 
 When tracing is disabled the context manager yields a shared no-op span and
 touches neither the log nor the clock, keeping the disabled cost to one
-attribute check per span.
+attribute check per span.  An enabled span is a plain ``__enter__`` /
+``__exit__`` pair (no generator) and is logged as its bare fields, so the
+record dict is only built when the log is read.
 """
 
 from __future__ import annotations
 
 import contextvars
-import threading
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -65,7 +67,7 @@ class TraceContext:
     tenant: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed unit of work, possibly nested under a parent span."""
 
@@ -133,9 +135,16 @@ class Span:
 
 
 class _NullSpan:
-    """Shared no-op span yielded while tracing is disabled."""
+    """Shared no-op span (and its own context manager) used while tracing
+    is disabled."""
 
     __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        return False
 
     def set_attr(self, key: str, value) -> None:
         pass
@@ -171,9 +180,8 @@ class Tracer:
         self.metrics = metrics
         self.enabled = enabled
         self.trace_seed = trace_seed
-        self._lock = threading.Lock()
-        self._next_id = 1
-        self._next_trace = 1
+        self._span_ids = itertools.count(1)
+        self._trace_ids = itertools.count(1)
         self._current: contextvars.ContextVar[Span | None] = (
             contextvars.ContextVar("repro_obs_span", default=None)
         )
@@ -184,9 +192,8 @@ class Tracer:
 
     def reset(self) -> None:
         """Restart span/trace ids and the time origin (fresh run)."""
-        with self._lock:
-            self._next_id = 1
-            self._next_trace = 1
+        self._span_ids = itertools.count(1)
+        self._trace_ids = itertools.count(1)
         self.origin = self.clock.now()
 
     def current(self) -> Span | None:
@@ -195,9 +202,7 @@ class Tracer:
 
     def allocate_trace_id(self) -> int:
         """A fresh 64-bit trace id from the seeded splitmix64 stream."""
-        with self._lock:
-            nth = self._next_trace
-            self._next_trace += 1
+        nth = next(self._trace_ids)  # atomic: one C call under the GIL
         return mix64(self.trace_seed ^ (nth * _TRACE_SALT))
 
     def current_context(self) -> TraceContext | None:
@@ -227,49 +232,67 @@ class Tracer:
         finally:
             self._remote.reset(token)
 
-    @contextmanager
     def span(self, name: str, **attrs):
-        if not self.enabled:
-            yield NULL_SPAN
-            return
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        parent = self._current.get()
+        """Context manager timing one span; ``as`` binds the live span."""
+        return _SpanScope(self, name, attrs) if self.enabled else NULL_SPAN
+
+
+class _SpanScope:
+    """One enabled span's ``with`` block (what :meth:`Tracer.span` returns)."""
+
+    __slots__ = ("tracer", "name", "attrs", "span", "token")
+
+    def __init__(self, tracer: Tracer, name: str, attrs: dict):
+        self.tracer = tracer
+        self.name = name
+        self.attrs = attrs
+
+    def __enter__(self) -> Span:
+        tracer = self.tracer
+        span_id = next(tracer._span_ids)
+        parent = tracer._current.get()
         if parent is not None:
             trace_id = parent.trace_id
             parent_id = parent.span_id
             remote = False
         else:
-            context = self._remote.get()
+            context = tracer._remote.get()
             if context is not None:
                 trace_id = context.trace_id
                 parent_id = context.span_id
                 remote = True
             else:
-                trace_id = self.allocate_trace_id()
+                trace_id = tracer.allocate_trace_id()
                 parent_id = None
                 remote = False
-        span = Span(
-            name=name,
-            span_id=span_id,
-            parent_id=parent_id,
-            start=self.clock.now(),
-            attrs=dict(attrs),
-            trace_id=trace_id,
-            remote=remote,
+        span = self.span = Span(
+            self.name,
+            span_id,
+            parent_id,
+            tracer.clock.now(),
+            self.attrs,
+            [],
+            None,
+            trace_id,
+            remote,
         )
-        token = self._current.set(span)
-        try:
-            yield span
-        finally:
-            self._current.reset(token)
-            span.end = self.clock.now()
+        self.token = tracer._current.set(span)
+        return span
+
+    def __exit__(self, *exc_info) -> bool:
+        tracer = self.tracer
+        span = self.span
+        tracer._current.reset(self.token)
+        span.end = end = tracer.clock.now()
+        if span.events:
             # Stamp span events with the span's end time (events carry no
             # clock reads of their own, keeping instrumentation cheap and
             # deterministic-clock exports stable).
-            end_ms = round((span.end - self.origin) * 1000.0, 6)
+            end_ms = round((end - tracer.origin) * 1000.0, 6)
             for event in span.events:
                 event.setdefault("at_ms", end_ms)
-            self.event_log.append(span.to_record(self.origin))
-            self.metrics.observe(f"span.{name}.ms", span.duration_ms)
+        tracer.event_log.append_span(span, tracer.origin)
+        tracer.metrics.observe(
+            f"span.{span.name}.ms", (end - span.start) * 1000.0
+        )
+        return False

@@ -3,12 +3,12 @@
 Partial match workloads are repetitive, and their queries order naturally
 by containment: a cached broad result can answer any narrower query locally
 (filter by bucket membership) without touching the devices.  This executor
-wraps :class:`~repro.storage.executor.QueryExecutor` with an LRU cache keyed
-by query and consulted through :func:`repro.query.algebra.subsumes`.
+fronts the batch engine's reads with an LRU cache keyed by query and
+consulted through :func:`repro.query.algebra.subsumes`.
 
-Cache entries store ``(bucket, records)`` pairs, so answering a subsumed
-query is a dictionary-free scan of the cached buckets against the narrower
-predicate — no rehashing of records required.
+Cache entries store the non-empty qualified buckets with their records, so
+answering a subsumed query is a scan of the cached buckets against the
+narrower predicate — no rehashing of records required.
 
 Consistency contract
 --------------------
@@ -54,20 +54,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from threading import RLock
-from typing import TYPE_CHECKING
 
 from repro.core.inverse import bucket_strides
 from repro.engine.signature import pack_queries, pack_query
 from repro.errors import ConfigurationError
 from repro.hashing.fields import Bucket
-from repro.obs import trace_span
 from repro.query.algebra import subsumes
 from repro.query.partial_match import PartialMatchQuery
 from repro.storage.parallel_file import PartitionedFile
-
-if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
-    from repro.engine.batch import BatchEngine
 
 __all__ = ["CacheStats", "CachedExecutor", "CachedLookup"]
 
@@ -115,10 +111,11 @@ class _Entry:
 class CachedLookup:
     """One resolved lookup: bucket-grouped records plus provenance.
 
-    ``buckets`` holds the *entry*'s buckets (possibly broader than the
-    query on a subsumption hit) — callers filter with ``query.matches``.
-    ``version`` is the file write version the records reflect; ``hit`` is
-    ``"exact"``, ``"subsumption"`` or ``"miss"``.
+    ``buckets`` holds the *entry*'s buckets — exactly the looked-up
+    query's non-empty qualified buckets on a miss or an exact hit,
+    possibly broader on a subsumption hit.  ``version`` is the file write
+    version the records reflect; ``hit`` is ``"exact"``,
+    ``"subsumption"``, ``"miss"`` or ``""`` (read without a cache).
     """
 
     query: PartialMatchQuery
@@ -127,14 +124,23 @@ class CachedLookup:
     hit: str
 
     def collect(self, query: PartialMatchQuery | None = None) -> list[object]:
-        """Records of *query* (default: the looked-up query) from the
-        cached buckets."""
+        """Records of *query* (default: the looked-up query), in bucket
+        order.
+
+        The buckets are concatenated as they are when they belong to
+        *query* itself; a subsumption hit, or any other *query* (a
+        coalesced follower reading its leader's buckets), filters them
+        through ``query.matches``.
+        """
+        if self.hit != "subsumption" and query in (None, self.query):
+            return list(chain.from_iterable(self.buckets.values()))
         query = query or self.query
-        records: list[object] = []
-        for bucket, bucket_records in self.buckets.items():
-            if query.matches(bucket):
-                records.extend(bucket_records)
-        return records
+        return [
+            record
+            for bucket, records in self.buckets.items()
+            if query.matches(bucket)
+            for record in records
+        ]
 
 
 class CachedExecutor:
@@ -172,7 +178,6 @@ class CachedExecutor:
         #: :mod:`repro.engine.signature`; the entry holds the query.
         self._entries: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
         self._strides = bucket_strides(partitioned_file.filesystem)
-        self._engine: "BatchEngine | None" = None
         self._lock = RLock()
         #: Misses currently fetching outside the lock; while any are in
         #: flight, write notifications are also recorded in ``_pending_notes``
@@ -204,19 +209,9 @@ class CachedExecutor:
         """
         signature = pack_query(query, self._strides)
         with self._lock:
-            entry = self._entries.get(signature)
-            if entry is not None:
-                self._entries.move_to_end(signature)
-                self.stats.exact_hits += 1
-                return CachedLookup(query, entry.buckets, entry.version, "exact")
-            for cached_key in reversed(self._entries):
-                cached = self._entries[cached_key]
-                if subsumes(cached.query, query):
-                    self._entries.move_to_end(cached_key)
-                    self.stats.subsumption_hits += 1
-                    return CachedLookup(
-                        query, cached.buckets, cached.version, "subsumption"
-                    )
+            hit = self._probe(query, signature)
+            if hit is not None:
+                return hit
             self.stats.misses += 1
             self._fetching += 1
         try:
@@ -226,19 +221,8 @@ class CachedExecutor:
                 self._retire_fetch()
             raise
         with self._lock:
-            fresh = not any(
-                version > entry.version
-                and subsumes(
-                    query, PartialMatchQuery.exact(self.file.filesystem, bucket)
-                )
-                for version, bucket in self._pending_notes
-            )
+            self._fill(signature, entry)
             self._retire_fetch()
-            if fresh:
-                self._entries[signature] = entry
-                if len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
         return CachedLookup(query, entry.buckets, entry.version, "miss")
 
     def lookup_batch(
@@ -272,25 +256,8 @@ class CachedExecutor:
                     self.stats.misses += 1
                     miss_slots[signature].append(index)
                     continue
-                entry = self._entries.get(signature)
-                if entry is not None:
-                    self._entries.move_to_end(signature)
-                    self.stats.exact_hits += 1
-                    results[index] = CachedLookup(
-                        query, entry.buckets, entry.version, "exact"
-                    )
-                    continue
-                for cached_key in reversed(self._entries):
-                    cached = self._entries[cached_key]
-                    if subsumes(cached.query, query):
-                        self._entries.move_to_end(cached_key)
-                        self.stats.subsumption_hits += 1
-                        results[index] = CachedLookup(
-                            query, cached.buckets, cached.version,
-                            "subsumption",
-                        )
-                        break
-                else:
+                results[index] = self._probe(query, signature)
+                if results[index] is None:
                     self.stats.misses += 1
                     miss_slots[signature] = [index]
                     miss_queries.append(query)
@@ -299,7 +266,7 @@ class CachedExecutor:
         if not miss_queries:
             return results
         try:
-            bucket_maps, version = self._batch_engine().fetch_buckets(
+            bucket_maps, version = self.file.engine.fetch_buckets(
                 miss_queries
             )
         except BaseException:
@@ -310,21 +277,10 @@ class CachedExecutor:
             for query, signature, buckets in zip(
                 miss_queries, miss_slots, bucket_maps
             ):
-                fresh = not any(
-                    note_version > version
-                    and subsumes(
-                        query,
-                        PartialMatchQuery.exact(self.file.filesystem, bucket),
-                    )
-                    for note_version, bucket in self._pending_notes
+                self._fill(
+                    signature,
+                    _Entry(query=query, buckets=buckets, version=version),
                 )
-                if fresh:
-                    self._entries[signature] = _Entry(
-                        query=query, buckets=buckets, version=version
-                    )
-                    if len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        self.stats.evictions += 1
                 for slot in miss_slots[signature]:
                     results[slot] = CachedLookup(
                         query, buckets, version, "miss"
@@ -332,13 +288,41 @@ class CachedExecutor:
             self._retire_fetch()
         return results
 
-    def _batch_engine(self) -> "BatchEngine":
-        """The lazily created batch engine behind :meth:`lookup_batch`."""
-        if self._engine is None:
-            from repro.engine.batch import BatchEngine
+    def _probe(
+        self, query: PartialMatchQuery, signature: tuple[int, int]
+    ) -> CachedLookup | None:
+        """An exact or subsumption hit for *query*, or ``None`` (call
+        under the cache lock)."""
+        entry = self._entries.get(signature)
+        if entry is not None:
+            self._entries.move_to_end(signature)
+            self.stats.exact_hits += 1
+            return CachedLookup(query, entry.buckets, entry.version, "exact")
+        for cached_key in reversed(self._entries):
+            cached = self._entries[cached_key]
+            if subsumes(cached.query, query):
+                self._entries.move_to_end(cached_key)
+                self.stats.subsumption_hits += 1
+                return CachedLookup(
+                    query, cached.buckets, cached.version, "subsumption"
+                )
+        return None
 
-            self._engine = BatchEngine(self.file)
-        return self._engine
+    def _fill(self, signature: tuple[int, int], entry: _Entry) -> None:
+        """Cache a fetched *entry* unless a write newer than its snapshot,
+        noted mid-fetch, matches its query (call under the cache lock,
+        before :meth:`_retire_fetch`)."""
+        fs = self.file.filesystem
+        if any(
+            version > entry.version
+            and subsumes(entry.query, PartialMatchQuery.exact(fs, bucket))
+            for version, bucket in self._pending_notes
+        ):
+            return
+        self._entries[signature] = entry
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def _retire_fetch(self) -> None:
         """One in-flight fetch finished (call under the cache lock); once
@@ -350,30 +334,14 @@ class CachedExecutor:
     def _fetch(self, query: PartialMatchQuery) -> _Entry:
         """Read the query from the devices, keeping per-bucket grouping.
 
-        Runs under the file's mutation lock so the fetched snapshot is a
-        well-defined write-version prefix, never a torn mix of a concurrent
-        insert.
+        One batch-of-one engine read
+        (:meth:`~repro.engine.batch.BatchEngine.read_one`) under the
+        file's mutation lock, so the fetched snapshot is a well-defined
+        write-version prefix, never a torn mix of a concurrent insert.
+        The entry holds the non-empty qualified buckets only.
         """
-        entry = _Entry(query=query)
-        method = self.file.method
-        with trace_span(
-            "query.execute",
-            query=query.describe(),
-            qualified=query.qualified_count,
-        ) as span:
-            buckets_per_device = []
-            with self.file.read_locked():
-                for device in self.file.devices:
-                    assigned = list(
-                        method.qualified_on_device(device.device_id, query)
-                    )
-                    device.read_buckets(assigned)
-                    buckets_per_device.append(len(assigned))
-                    for bucket in assigned:
-                        entry.buckets[bucket] = device.store.records_in(bucket)
-                entry.version = self.file.write_version
-            span.set_attr("buckets_per_device", buckets_per_device)
-        return entry
+        __, buckets, version = self.file.engine.read_one(query)
+        return _Entry(query=query, buckets=buckets, version=version)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -404,13 +372,12 @@ class CachedExecutor:
 
         Kept as the manual escape hatch for mutations that bypass the file
         interface (writes through ``insert``/``delete`` invalidate
-        automatically).  Also drops the batch engine's cached present
-        sets, which share this escape-hatch contract.
+        automatically).  Also drops the file's batch engine's cached
+        present sets, which share this escape-hatch contract.
         """
         with self._lock:
             self._entries.clear()
-        if self._engine is not None:
-            self._engine.invalidate()
+        self.file.engine.invalidate()
 
     def close(self) -> None:
         """Detach from the file's write notifications (long-lived files

@@ -59,6 +59,10 @@ class SimulatedDevice:
         # (repro.storage.btree_store) is the ordered alternative.
         self.store = store if store is not None else BucketStore()
         self.stats = DeviceStats()
+        #: Monotonic count of store mutations made through this device, the
+        #: key of the engine's present sets; outside :class:`DeviceStats` so
+        #: ``stats.reset()`` cannot make a stale present set look current.
+        self.mutations = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -69,13 +73,25 @@ class SimulatedDevice:
                 f"device {self.device_id} at capacity ({self.capacity} records)"
             )
         self.store.insert(bucket, record)
+        self.mutations += 1
         self.stats.inserts += 1
 
     def delete(self, bucket: Bucket, record: object) -> bool:
         removed = self.store.delete(bucket, record)
         if removed:
+            self.mutations += 1
             self.stats.deletes += 1
         return removed
+
+    def replace_bucket(self, bucket: Bucket, records) -> None:
+        """Set one bucket's exact contents (the repair/rebuild path)."""
+        self.store.replace_bucket(bucket, records)
+        self.mutations += 1
+
+    def clear(self) -> None:
+        """Drop every stored record (media loss)."""
+        self.store.clear()
+        self.mutations += 1
 
     # ------------------------------------------------------------------
     # Retrieval

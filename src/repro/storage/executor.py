@@ -1,12 +1,20 @@
 """Partial match query execution over a partitioned file.
 
-Execution follows the paper's parallel model: every device independently
-performs *inverse mapping* (derives which qualified buckets it holds, via
-the method's algebraic solver when available) and serves them locally; with
-a symmetric interconnect the query completes when the most-loaded device
-finishes, so the modelled response time is the maximum per-device service
-time.  The executor reports both the retrieved records and the load/timing
-diagnostics the paper's evaluation is built on.
+Execution follows the paper's parallel model: every device serves its
+share of the qualified buckets locally; with a symmetric interconnect the
+query completes when the most-loaded device finishes, so the modelled
+response time is the maximum per-device service time.  The executor
+reports both the retrieved records and the load/timing diagnostics the
+paper's evaluation is built on.
+
+The *inverse mapping* — which qualified buckets each device holds — is
+solved for all devices at once: a query runs as a batch of one through
+:meth:`repro.engine.batch.BatchEngine.read_one`, whose single kernel call
+yields every device's share in serial order, and each device reads only
+the shares it actually stores.  The per-device generator
+(:meth:`~repro.distribution.base.DistributionMethod.qualified_on_device`)
+remains the plan for non-separable methods and is the correctness oracle
+the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -14,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.envelope import SCHEMA_VERSION
-from repro.hashing.fields import Bucket
-from repro.obs import telemetry, trace_span
+from repro.obs import telemetry
 from repro.query.partial_match import PartialMatchQuery
 from repro.storage.parallel_file import PartitionedFile
-from repro.util.numbers import ceil_div
 
 __all__ = ["ExecutionResult", "QueryExecutor"]
 
@@ -96,12 +102,7 @@ class QueryExecutor:
 
     def execute(self, query: PartialMatchQuery) -> ExecutionResult:
         """Run one query through every device and assemble the result."""
-        method = self.file.method
-
-        def assigned_to(device_id: int) -> list[Bucket]:
-            return list(method.qualified_on_device(device_id, query))
-
-        return self._run(query, query.qualified_count, assigned_to)
+        return self._read(query)
 
     def execute_box(self, box) -> ExecutionResult:
         """Run a :class:`~repro.query.box.BoxQuery` (ranges / IN-lists).
@@ -112,40 +113,13 @@ class QueryExecutor:
         from repro.analysis.box import box_qualified_on_device
 
         method = self.file.method
+        return self._read(
+            box, lambda device_id: box_qualified_on_device(method, device_id, box)
+        )
 
-        def assigned_to(device_id: int) -> list[Bucket]:
-            return list(box_qualified_on_device(method, device_id, box))
-
-        return self._run(box, box.qualified_count, assigned_to)
-
-    def _run(self, query, qualified_count: int, assigned_to) -> ExecutionResult:
-        result = ExecutionResult(query=query)
-        with trace_span(
-            "query.execute", query=query.describe(), qualified=qualified_count
-        ) as span:
-            for device in self.file.devices:
-                assigned = assigned_to(device.device_id)
-                records = device.read_buckets(assigned)
-                service = device.cost_model.service_time(len(assigned))
-                result.records.extend(records)
-                result.buckets_per_device.append(len(assigned))
-                result.total_service_ms += service
-                result.response_time_ms = max(result.response_time_ms, service)
-                span.add_event(
-                    "device",
-                    device=device.device_id,
-                    buckets=len(assigned),
-                    service_ms=round(service, 6),
-                )
-            result.largest_response = max(result.buckets_per_device, default=0)
-            bound = ceil_div(qualified_count, self.file.filesystem.m)
-            result.strict_optimal = result.largest_response <= bound
-            # The paper's metric, observed: per-device qualified buckets and
-            # the modelled response, straight into the telemetry store.
-            span.set_attr("buckets_per_device", list(result.buckets_per_device))
-            span.set_attr("largest_response", result.largest_response)
-            span.set_attr("strict_optimal", result.strict_optimal)
-            span.set_attr("response_ms", round(result.response_time_ms, 6))
+    def _read(self, query, assigned_to=None) -> ExecutionResult:
+        """The engine's batch-of-one read, plus the executor's metrics."""
+        result = self.file.engine.read_one(query, assigned_to)[0]
         metrics = telemetry().metrics
         metrics.add("query.executed")
         metrics.add("query.buckets_read", sum(result.buckets_per_device))

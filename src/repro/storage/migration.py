@@ -250,7 +250,7 @@ class Migration:
                 origin_device = self.file.devices[origin]
                 records = origin_device.store.records_in(bucket)
                 for record in records:
-                    origin_device.store.delete(bucket, record)
+                    origin_device.delete(bucket, record)
                     self.file.devices[destination].insert(bucket, record)
                     if self.wal is not None:
                         self.wal.append("move", record)

@@ -129,6 +129,20 @@ class PartitionedFile(WriteNotifier):
             )
             for d in range(self.filesystem.m)
         ]
+        self._engine = None
+
+    @property
+    def engine(self):
+        """The :class:`~repro.engine.batch.BatchEngine` every reader of the
+        file shares (executor, result cache, service), so each device's
+        present set is built once; rebuilt when :attr:`method` is swapped.
+        """
+        engine = self._engine
+        if engine is None or engine.planner.method is not self.method:
+            from repro.engine.batch import BatchEngine
+
+            engine = self._engine = BatchEngine(self)
+        return engine
 
     # ------------------------------------------------------------------
     # Record operations

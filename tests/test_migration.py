@@ -87,6 +87,20 @@ class TestMigrationApply:
         after = sorted(map(str, pf.search({0: 7}).records))
         assert before == after
 
+    def test_moves_count_as_device_deletes_and_inserts(self):
+        pf = self._loaded(ModuloDistribution(FS))
+        engine = pf.engine
+        for device in pf.devices:
+            device.stats.reset()
+        target = FXDistribution(FS)
+        report = Migration(pf, target).apply()
+        assert report.records_moved > 0
+        assert sum(d.stats.deletes for d in pf.devices) == report.records_moved
+        assert sum(d.stats.inserts for d in pf.devices) == report.records_moved
+        # The file's shared engine follows the method swap.
+        assert pf.engine is not engine
+        assert pf.engine.planner.method is target
+
     def test_noop_migration_moves_nothing(self):
         method = FXDistribution(FS)
         pf = self._loaded(method)

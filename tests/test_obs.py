@@ -268,6 +268,69 @@ class TestEventLog:
     def test_jsonl_line_is_canonical(self):
         assert jsonl_line({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'
 
+    def test_packed_ring_keeps_exactly_the_last_records(self):
+        log = EventLog(capacity=100)  # not a whole number of packed blocks
+        for i in range(1000):
+            log.append({"i": i})
+            assert len(log) == min(i + 1, 100)
+        assert [r["i"] for r in log.records()] == list(range(900, 1000))
+        assert [r["i"] for r in log.tail(70)] == list(range(930, 1000))
+        assert [r["i"] for r in log.tail(500)] == list(range(900, 1000))
+        log.clear()
+        assert (len(log), log.records(), log.appended) == (0, [], 0)
+
+    def test_span_records_read_back_the_same_once_packed(self):
+        t = Telemetry(clock=ManualClock(step=0.001))
+        for i in range(10):
+            with t.tracer.span("outer", i=i) as span:
+                span.add_event("e", n=[i, i])
+                with t.tracer.span("inner"):
+                    pass
+        staged = t.events.records()
+        t.events.append({"type": "marker"})
+        for __ in range(200):  # packs the first spans into blocks
+            with t.tracer.span("filler", bpd=[2] * 32):
+                pass
+        assert t.events.records()[:20] == staged
+        assert t.events.records()[20] == {"type": "marker"}
+        for record in staged:
+            validate_record(record)
+
+    def test_unpicklable_attribute_keeps_its_block_unpacked(self):
+        log = EventLog(capacity=1000)
+        marker = lambda: None  # noqa: E731 - deliberately unpicklable
+        for i in range(130):
+            log.append({"i": i, "fn": marker})
+        assert [r["i"] for r in log.records()] == list(range(130))
+        assert log.records()[0]["fn"] is marker
+
+    def test_full_ring_of_query_spans_stays_small(self):
+        import tracemalloc
+
+        t = Telemetry(clock=ManualClock(step=0.001), capacity=4096)
+
+        def span(i):
+            with t.tracer.span(
+                "query.execute", query=f"<*, {i}, *>", qualified=4096
+            ) as live:
+                live.set_attr("buckets_per_device", [128] * 32)
+                live.set_attr("largest_response", 128)
+                live.set_attr("strict_optimal", True)
+                live.set_attr("response_ms", 128.0)
+
+        span(0)
+        t.events.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(4096):
+                span(i)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # As plain dicts these records held ~1.3 KB each.
+        assert retained < 4096 * 400
+
 
 class TestSchema:
     def _span_record(self):
@@ -401,6 +464,15 @@ class TestObservedOptimalityChecker:
         queries = [PartialMatchQuery.from_dict(fs, {0: 0})] * 5
         with pytest.raises(AnalysisError, match="capacity"):
             checker.replay(queries)
+
+    def test_default_ring_replays_a_long_trace(self):
+        fs = FileSystem.of(4, 4, m=4)
+        queries = [
+            PartialMatchQuery.from_dict(fs, {0: i % 4}) for i in range(5000)
+        ]
+        report = ObservedOptimalityChecker(FXDistribution(fs)).replay(queries)
+        assert report.queries == 5000
+        assert report.consistent
 
     def test_report_to_dict(self):
         fs = FileSystem.of(2, 2, m=4)
