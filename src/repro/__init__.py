@@ -82,7 +82,6 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.storage import (
-    BatchExecutor,
     DynamicPartitionedFile,
     ParallelQuerySimulator,
     PartitionedFile,
@@ -142,7 +141,6 @@ __all__ = [
     "DynamicPartitionedFile",
     "ReplicatedFile",
     "QueryExecutor",
-    "BatchExecutor",
     "BatchEngine",
     "BatchExecutionReport",
     "ParallelQuerySimulator",

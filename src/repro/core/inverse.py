@@ -17,14 +17,17 @@ Three implementations share that algebra:
 
 * :func:`separable_qualified_flat_batch` — the serving kernel: every
   device's share of a group of same-pattern queries in one NumPy pass, as
-  flat addresses in serial order.  A single query runs as a batch of one
-  (:meth:`repro.engine.batch.BatchEngine.read_one`), so all M devices are
-  solved in one pass rather than M separate solves;
+  flat addresses in serial order;
 * :func:`separable_qualified_on_device_array` — one device's share as an
   ``(N, n_fields)`` array, bit-identical to the iterator;
 * :func:`separable_qualified_on_device` — the reference iterator, one
   Python tuple at a time: the correctness oracle the kernels are tested
   against.
+
+Every reader takes its per-device split from one function,
+:func:`qualified_split`: the kernel for separable methods, the box solver
+for box queries, the generator for any other method.
+:func:`qualified_by_device` is the same split as bucket tuples.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 from repro.hashing.fields import Bucket
 from repro.obs.clock import now as _now
 from repro.perf.counters import record_work
+from repro.query.box import BoxQuery
 from repro.query.partial_match import PartialMatchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
@@ -47,6 +51,8 @@ __all__ = [
     "separable_qualified_on_device",
     "separable_qualified_on_device_array",
     "separable_qualified_flat_batch",
+    "qualified_split",
+    "qualified_by_device",
     "bucket_strides",
     "contribution_index",
 ]
@@ -404,6 +410,58 @@ def separable_qualified_flat_batch(
     )
     record_work("inverse_batch", total, _now() - started)
     return flat, counts
+
+
+def qualified_split(
+    method, queries: "Sequence[PartialMatchQuery | BoxQuery]", strides: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every device's qualified buckets of *queries*: the per-device split.
+
+    Returns ``(flat, counts)`` shaped as
+    :func:`separable_qualified_flat_batch` returns them: ``counts[g, d]``
+    qualified buckets of query *g* on device *d*, and ``flat`` their
+    row-major flat addresses ordered by (query, device, enumeration) —
+    the serial executor's order.  Separable methods serve partial match
+    queries (one pattern per call) through that kernel; box queries go
+    through :func:`~repro.analysis.box.box_qualified_on_device` and any
+    other method through its ``qualified_on_device`` generator, the oracle
+    the kernel is tested against.
+    """
+    from repro.distribution.base import SeparableMethod
+
+    boxes = any(isinstance(query, BoxQuery) for query in queries)
+    if isinstance(method, SeparableMethod) and not boxes:
+        for query in queries:
+            method._check_query(query)
+        return separable_qualified_flat_batch(method, queries, strides)
+    from repro.analysis.box import box_qualified_on_device
+
+    m = method.filesystem.m
+    counts = np.zeros((len(queries), m), dtype=np.int64)
+    rows: list[Bucket] = []
+    for g, query in enumerate(queries):
+        for device in range(m):
+            if isinstance(query, BoxQuery):
+                buckets = list(box_qualified_on_device(method, device, query))
+            else:
+                buckets = list(method.qualified_on_device(device, query))
+            counts[g, device] = len(buckets)
+            rows.extend(buckets)
+    flat = np.asarray(rows, dtype=np.int64).reshape(-1, len(strides)) @ strides
+    return flat, counts
+
+
+def qualified_by_device(
+    method, query: "PartialMatchQuery | BoxQuery"
+) -> list[list[Bucket]]:
+    """:func:`qualified_split` of one query as bucket tuples, one list per
+    device in serial order — for readers that address stores by tuple."""
+    fs = method.filesystem
+    flat, counts = qualified_split(method, [query], bucket_strides(fs))
+    columns = np.unravel_index(flat, fs.field_sizes)
+    buckets = list(zip(*(column.tolist() for column in columns)))
+    bounds = np.cumsum(counts[0]).tolist()
+    return [buckets[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
 
 
 def _fold(method: "SeparableMethod", contributions: Iterator[int]) -> int:

@@ -8,9 +8,10 @@ per-device bucket counts, same modelled times — while touching each
 (device, bucket) pair at most once for the whole batch:
 
 1. *Plan.*  :class:`~repro.engine.plan.ArrayBatchPlanner` dedupes the batch
-   by signature, groups it by pattern and solves each group's inverse
-   mapping in one NumPy pass, yielding flat int64 bucket addresses per
-   (query, device) plus each device's deduplicated read set.
+   by signature, groups it by pattern and takes each group's per-device
+   split from one :func:`~repro.core.inverse.qualified_split` call,
+   yielding flat int64 bucket addresses per (query, device) plus each
+   device's deduplicated read set.
 2. *Fetch.*  Under the file's mutation lock (one consistent snapshot) each
    device's read set is intersected with its *present* set — a sorted flat
    array cached until that device mutates — and only those buckets are
@@ -23,9 +24,11 @@ per-device bucket counts, same modelled times — while touching each
    come out bit-equal to serial execution.
 
 A single query takes the batch-of-one fast path, :meth:`BatchEngine.read_one`
-(behind :class:`~repro.storage.executor.QueryExecutor`, the result cache's
-misses and the uncached service): one kernel call, one present-set lookup
-per device, no planner, dedupe or mask pool.
+(behind :meth:`~repro.storage.parallel_file.PartitionedFile.execute`, the
+result cache's misses and the uncached service): one per-device split
+(:func:`~repro.core.inverse.qualified_split`, the same call the planner
+makes per pattern group), one present-set lookup per device, no planner,
+dedupe or mask pool.
 
 Failure semantics: a store that verifies reads (e.g.
 :class:`~repro.durability.checksummed_store.ChecksummedBucketStore`) raises
@@ -45,13 +48,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from repro.core.inverse import separable_qualified_flat_batch
-from repro.distribution.base import SeparableMethod
+from repro.core.inverse import qualified_split
 from repro.engine.plan import ArrayBatchPlan, ArrayBatchPlanner
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
@@ -391,39 +392,24 @@ class BatchEngine:
         return fetched
 
     def read_one(
-        self, query, assigned_to=None
+        self, query
     ) -> tuple[ExecutionResult, dict[Bucket, tuple[object, ...]], int]:
-        """Execute one query: the batch of one, without planner or pools.
+        """Execute one partial match or box query: the batch of one,
+        without planner or pools.
 
-        One kernel call (:func:`~repro.core.inverse.
-        separable_qualified_flat_batch`) yields every device's qualified
-        flat addresses in serial order; each device's slice is matched
-        against its present set, so only non-empty buckets reach the
-        store, once each, while every planned probe is charged as in the
-        serial model.  Non-separable methods, and callers passing
-        *assigned_to* (``device_id -> buckets``, e.g. a box solver), plan
-        through that generator instead.  Returns the result, the
+        One :func:`~repro.core.inverse.qualified_split` call yields every
+        device's qualified flat addresses in serial order; each device's
+        slice is matched against its present set, so only non-empty
+        buckets reach the store, once each, while every planned probe is
+        charged as in the serial model.  Returns the result, the
         non-empty buckets with their records in serial order, and the
         snapshot's write version.
         """
-        method = self.file.method
         devices = self.file.devices
-        strides = self.planner.strides
-        if assigned_to is None and isinstance(method, SeparableMethod):
-            method._check_query(query)
-            flat, counts = separable_qualified_flat_batch(
-                method, [query], strides
-            )
-            counts = counts[0].tolist()
-        else:
-            solve = assigned_to or partial(
-                method.qualified_on_device, query=query
-            )
-            parts = [list(solve(device.device_id)) for device in devices]
-            counts = [len(part) for part in parts]
-            flat = np.asarray(
-                list(chain.from_iterable(parts)), dtype=np.int64
-            ).reshape(-1, len(strides)) @ strides
+        flat, counts = qualified_split(
+            self.file.method, [query], self.planner.strides
+        )
+        counts = counts[0].tolist()
         result = ExecutionResult(query=query)
         buckets: dict[Bucket, tuple[object, ...]] = {}
         with trace_span(

@@ -14,9 +14,9 @@ ways at once:
 Duplicate queries are collapsed by signature before any inverse mapping
 runs (:func:`repro.engine.signature.dedupe_queries`), and the remaining
 distinct queries are grouped by pattern so each group is solved by one call
-to the batched kernel :func:`~repro.core.inverse.separable_qualified_flat_batch`.
-Non-separable methods fall back to the tuple-at-a-time iterator with
-identical plan contents.
+to :func:`~repro.core.inverse.qualified_split` — the batched kernel for
+separable methods, the per-device generator for the rest, with identical
+plan contents.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inverse import bucket_strides, separable_qualified_flat_batch
-from repro.distribution.base import SeparableMethod
+from repro.core.inverse import bucket_strides, qualified_split
 from repro.errors import QueryError
 from repro.obs.clock import now as _now
 from repro.perf.counters import record_work
@@ -157,10 +156,7 @@ class ArrayBatchPlanner:
             naive_bucket_reads=sum(q.qualified_count for q in queries),
             duplicates_removed=len(queries) - len(distinct),
         )
-        if isinstance(self.method, SeparableMethod):
-            self._plan_separable(plan)
-        else:
-            self._plan_generic(plan)
+        self._plan_groups(plan)
         for device in range(fs.m):
             parts = [
                 plan.slices[(slot, device)] for slot in range(len(distinct))
@@ -212,8 +208,8 @@ class ArrayBatchPlanner:
         record_work("engine_plan", plan.planned_reads, _now() - started)
         return plan
 
-    def _plan_separable(self, plan: ArrayBatchPlan) -> None:
-        """One batched-kernel call per pattern group of distinct queries."""
+    def _plan_groups(self, plan: ArrayBatchPlan) -> None:
+        """One per-device split per pattern group of distinct queries."""
         m = self.method.filesystem.m
         groups: dict[frozenset[int], list[int]] = {}
         for slot, query_index in enumerate(plan.distinct):
@@ -223,7 +219,7 @@ class ArrayBatchPlanner:
             group_queries = [
                 plan.queries[plan.distinct[slot]] for slot in slots
             ]
-            flat, counts = separable_qualified_flat_batch(
+            flat, counts = qualified_split(
                 self.method, group_queries, self.strides
             )
             # ``flat`` is (query, device, ...)-major: plain slicing at the
@@ -239,21 +235,3 @@ class ArrayBatchPlanner:
                     plan.slices[(slot, device)] = flat[
                         offsets[base + device]:offsets[base + device + 1]
                     ]
-
-    def _plan_generic(self, plan: ArrayBatchPlan) -> None:
-        """Iterator fallback for non-separable methods (same plan shape)."""
-        m = self.method.filesystem.m
-        strides = self.strides
-        for slot, query_index in enumerate(plan.distinct):
-            query = plan.queries[query_index]
-            for device in range(m):
-                flats = [
-                    int(np.dot(np.asarray(bucket, dtype=np.int64), strides))
-                    for bucket in self.method.qualified_on_device(
-                        device, query
-                    )
-                ]
-                plan.slices[(slot, device)] = np.asarray(
-                    flats, dtype=np.int64
-                )
-                plan.counts[slot, device] = len(flats)

@@ -1,8 +1,9 @@
 """Fault-tolerant query execution with replica failover and partial results.
 
 :class:`DegradedExecutor` is the runtime counterpart of
-:class:`~repro.storage.executor.QueryExecutor`: it runs the same inverse
-mapping per device, but filters every device interaction through a
+:class:`~repro.storage.executor.QueryExecutor`: it takes the same
+per-device split (:func:`~repro.core.inverse.qualified_by_device`), but
+filters every device interaction through a
 :class:`~repro.runtime.faults.FaultPlan` and a
 :class:`~repro.runtime.retry.RetryPolicy`.  A device that is fail-stopped,
 exhausts its retries or runs past its timeout is *abandoned* for the query;
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.inverse import qualified_by_device
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
 from repro.perf.counters import record_work
@@ -105,20 +107,11 @@ class DegradedExecutor:
     # ------------------------------------------------------------------
     def execute(self, query: PartialMatchQuery) -> DegradedExecutionResult:
         """Run one partial match query through the fault-filtered array."""
-
-        def assigned_to(device_id: int) -> list[Bucket]:
-            return list(self.method.qualified_on_device(device_id, query))
-
-        return self._run(query, query.qualified_count, assigned_to)
+        return self._run(query)
 
     def execute_box(self, box) -> DegradedExecutionResult:
         """Run a box query (requires a separable base method)."""
-        from repro.analysis.box import box_qualified_on_device
-
-        def assigned_to(device_id: int) -> list[Bucket]:
-            return list(box_qualified_on_device(self.method, device_id, box))
-
-        return self._run(box, box.qualified_count, assigned_to)
+        return self._run(box)
 
     def search(self, specified) -> DegradedExecutionResult:
         """Convenience: hash raw attribute values, build and run the query."""
@@ -127,7 +120,7 @@ class DegradedExecutor:
     # ------------------------------------------------------------------
     # Core loop
     # ------------------------------------------------------------------
-    def _run(self, query, qualified_count, assigned_to) -> DegradedExecutionResult:
+    def _run(self, query) -> DegradedExecutionResult:
         seq = self._query_seq
         self._query_seq += 1
         m = self.filesystem.m
@@ -142,11 +135,12 @@ class DegradedExecutor:
         records_by_primary: dict[int, list[object]] = {}
         to_failover: list[tuple[int, list[Bucket]]] = []
 
+        qualified_count = query.qualified_count
         with trace_span(
             "runtime.query", query=query.describe(), qualified=qualified_count
         ) as span:
-            for device_id in range(m):
-                assigned = assigned_to(device_id)
+            shares = qualified_by_device(self.method, query)
+            for device_id, assigned in enumerate(shares):
                 if not assigned:
                     records_by_primary[device_id] = []
                     continue

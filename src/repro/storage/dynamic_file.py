@@ -20,6 +20,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.fx import FXDistribution
+from repro.core.inverse import qualified_by_device
 from repro.distribution.base import DistributionMethod
 from repro.errors import ConfigurationError
 from repro.hashing.fields import FileSystem
@@ -218,14 +219,13 @@ class DynamicPartitionedFile:
     def search(self, specified: Mapping[int, int]) -> list[tuple[int, ...]]:
         """All stored records whose hashed attributes match *specified*.
 
-        Uses per-device inverse mapping, then exact-value postfiltering.
+        Uses the per-device split of the current method, then exact-value
+        postfiltering.
         """
         query = self.query(specified)
         results: list[tuple[int, ...]] = []
-        for device in self.devices:
-            assigned = list(
-                self.method.qualified_on_device(device.device_id, query)
-            )
+        shares = qualified_by_device(self.method, query)
+        for device, assigned in zip(self.devices, shares):
             for record in device.read_buckets(assigned):
                 if all(record[i] == v for i, v in specified.items()):
                     results.append(record)  # type: ignore[arg-type]

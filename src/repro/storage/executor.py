@@ -9,11 +9,12 @@ paper's evaluation is built on.
 
 The *inverse mapping* — which qualified buckets each device holds — is
 solved for all devices at once: a query runs as a batch of one through
-:meth:`repro.engine.batch.BatchEngine.read_one`, whose single kernel call
-yields every device's share in serial order, and each device reads only
-the shares it actually stores.  The per-device generator
+:meth:`repro.engine.batch.BatchEngine.read_one`, whose one call to
+:func:`~repro.core.inverse.qualified_split` yields every device's share in
+serial order, and each device reads only the shares it actually stores.
+The per-device generator
 (:meth:`~repro.distribution.base.DistributionMethod.qualified_on_device`)
-remains the plan for non-separable methods and is the correctness oracle
+is that split's plan for non-separable methods and the correctness oracle
 the kernel is tested against.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.envelope import SCHEMA_VERSION
-from repro.obs import telemetry
 from repro.query.partial_match import PartialMatchQuery
 from repro.storage.parallel_file import PartitionedFile
 
@@ -102,7 +102,7 @@ class QueryExecutor:
 
     def execute(self, query: PartialMatchQuery) -> ExecutionResult:
         """Run one query through every device and assemble the result."""
-        return self._read(query)
+        return self.file.execute(query)
 
     def execute_box(self, box) -> ExecutionResult:
         """Run a :class:`~repro.query.box.BoxQuery` (ranges / IN-lists).
@@ -110,19 +110,4 @@ class QueryExecutor:
         Requires a separable method (the algebraic box inverse mapping);
         the result's ``query`` field carries the box itself.
         """
-        from repro.analysis.box import box_qualified_on_device
-
-        method = self.file.method
-        return self._read(
-            box, lambda device_id: box_qualified_on_device(method, device_id, box)
-        )
-
-    def _read(self, query, assigned_to=None) -> ExecutionResult:
-        """The engine's batch-of-one read, plus the executor's metrics."""
-        result = self.file.engine.read_one(query, assigned_to)[0]
-        metrics = telemetry().metrics
-        metrics.add("query.executed")
-        metrics.add("query.buckets_read", sum(result.buckets_per_device))
-        metrics.observe("query.response_ms", result.response_time_ms)
-        metrics.observe("query.largest_response", result.largest_response)
-        return result
+        return self.file.execute(box)

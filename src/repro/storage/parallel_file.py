@@ -4,8 +4,8 @@
 bucket addresses by a :class:`~repro.hashing.multikey.MultiKeyHash`, bucket
 addresses are mapped to devices by a
 :class:`~repro.distribution.base.DistributionMethod`, and each device stores
-its share locally.  Partial match search goes through
-:class:`~repro.storage.executor.QueryExecutor`.
+its share locally.  Partial match search runs through the file's shared
+:class:`~repro.engine.batch.BatchEngine` (:meth:`PartitionedFile.execute`).
 """
 
 from __future__ import annotations
@@ -199,17 +199,30 @@ class PartitionedFile(WriteNotifier):
         hashed = self.multikey_hash.partial_bucket(specified)
         return PartialMatchQuery.from_dict(self.filesystem, hashed)
 
+    def execute(self, query):
+        """Run one partial match (or box) query: the engine's batch of one.
+
+        Returns an :class:`~repro.storage.executor.ExecutionResult`.
+        """
+        from repro.obs import telemetry
+
+        result = self.engine.read_one(query)[0]
+        metrics = telemetry().metrics
+        metrics.add("query.executed")
+        metrics.add("query.buckets_read", sum(result.buckets_per_device))
+        metrics.observe("query.response_ms", result.response_time_ms)
+        metrics.observe("query.largest_response", result.largest_response)
+        return result
+
     def search(self, specified: Mapping[int, object]):
         """Convenience: build the query and execute it.
 
-        Returns an :class:`~repro.storage.executor.ExecutionResult`.  Note
-        that, as with any hashed partial match scheme, the devices return
-        every record in the qualified buckets; exact attribute comparison
-        against false hash matches is the caller's (cheap) postfilter.
+        Note that, as with any hashed partial match scheme, the devices
+        return every record in the qualified buckets; exact attribute
+        comparison against false hash matches is the caller's (cheap)
+        postfilter.
         """
-        from repro.storage.executor import QueryExecutor
-
-        return QueryExecutor(self).execute(self.query(specified))
+        return self.execute(self.query(specified))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.core.inverse import qualified_by_device
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.errors import DataUnavailableError, StorageError
 from repro.hashing.fields import Bucket
@@ -163,17 +164,24 @@ class ReplicatedFile(WriteNotifier):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _serving_device(self, bucket: Bucket) -> tuple[int, bool]:
-        """(device, is_backup) that serves *bucket* right now."""
-        primary, backup = self.scheme.replicas_of(bucket)
-        if primary not in self._failed:
-            return primary, False
-        if backup not in self._failed:
-            return backup, True
-        raise DataUnavailableError(
-            f"bucket {bucket}: both replicas (devices {primary}, {backup}) "
-            "are failed"
-        )
+    def _routes(self, query) -> list[tuple[list[Bucket], int, bool]]:
+        """Each primary device's qualified buckets, in primary order, with
+        the (device, is_backup) serving them under the current failures."""
+        routes = []
+        for buckets in qualified_by_device(self.scheme.base, query):
+            if not buckets:
+                continue
+            primary, backup = self.scheme.replicas_of(buckets[0])
+            if primary not in self._failed:
+                routes.append((buckets, primary, False))
+            elif backup not in self._failed:
+                routes.append((buckets, backup, True))
+            else:
+                raise DataUnavailableError(
+                    f"bucket {buckets[0]}: both replicas (devices {primary}, "
+                    f"{backup}) are failed"
+                )
+        return routes
 
     def query(self, specified: Mapping[int, object]) -> PartialMatchQuery:
         hashed = self.multikey_hash.partial_bucket(specified)
@@ -182,31 +190,23 @@ class ReplicatedFile(WriteNotifier):
     def execute(self, query: PartialMatchQuery) -> ReplicatedExecutionResult:
         """Run one partial match query with failure masking.
 
-        Buckets are routed per current failure state, grouped per device
-        and served in one batch each (as the plain executor does).
+        Each primary device's share is read from that device, or from its
+        backup when it is failed.  Records come in primary-device order,
+        as :class:`~repro.runtime.degraded.DegradedExecutor` assembles
+        them, so a masked failure returns the fault-free record list.
         """
-        per_device: dict[int, list[Bucket]] = {
-            d: [] for d in range(self.filesystem.m)
-        }
-        served_by_backup = 0
-        for bucket in query.qualified_buckets():
-            device, is_backup = self._serving_device(bucket)
-            per_device[device].append(bucket)
-            served_by_backup += is_backup
-        result = ReplicatedExecutionResult(
-            query=query, served_by_backup=served_by_backup
-        )
-        for device_id, buckets in per_device.items():
-            device = self.devices[device_id]
-            records = device.read_buckets(buckets) if buckets else []
-            # a record may be read from the backup copy only; dedupe is not
-            # needed because each bucket is read from exactly one replica
-            result.records.extend(records)
-            result.buckets_per_device.append(len(buckets))
-            service = device.cost_model.service_time(len(buckets))
+        result = ReplicatedExecutionResult(query=query)
+        served = [0] * self.filesystem.m
+        for buckets, device_id, is_backup in self._routes(query):
+            result.records.extend(self.devices[device_id].read_buckets(buckets))
+            served[device_id] += len(buckets)
+            result.served_by_backup += len(buckets) if is_backup else 0
+        for device, count in zip(self.devices, served):
+            service = device.cost_model.service_time(count)
             result.total_service_ms += service
             result.response_time_ms = max(result.response_time_ms, service)
-        result.largest_response = max(result.buckets_per_device, default=0)
+        result.buckets_per_device = served
+        result.largest_response = max(served, default=0)
         bound = ceil_div(query.qualified_count, self.filesystem.m)
         result.strict_optimal = result.largest_response <= bound
         return result
@@ -220,9 +220,8 @@ class ReplicatedFile(WriteNotifier):
     def degraded_histogram(self, query: PartialMatchQuery) -> list[int]:
         """Per-device qualified-bucket counts under the current failures."""
         counts = [0] * self.filesystem.m
-        for bucket in query.qualified_buckets():
-            device, __ = self._serving_device(bucket)
-            counts[device] += 1
+        for buckets, device_id, __ in self._routes(query):
+            counts[device_id] += len(buckets)
         return counts
 
     def state_digest(self) -> str:

@@ -11,7 +11,8 @@ from repro.distribution.modulo import ModuloDistribution
 from repro.errors import DistributionError, QueryError
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
-from repro.storage.batch import BatchExecutor
+from repro.engine.batch import BatchEngine
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 FS = FileSystem.of(4, 8, m=4)
@@ -71,21 +72,17 @@ class TestBatchExecutor:
     def test_identical_queries_fully_shared(self):
         pf = self._loaded()
         q = pf.query({0: 3})
-        report = BatchExecutor(pf).execute([q, q, q])
+        report = BatchEngine(pf).execute([q, q, q])
         assert report.sharing_factor == pytest.approx(3.0)
-        assert report.bucket_reads == q.qualified_count
+        assert report.unique_reads == q.qualified_count
 
     def test_records_match_single_query_execution(self):
         pf = self._loaded()
         queries = [pf.query({0: 1}), pf.query({1: "n3"}), pf.query({0: 2})]
-        report = BatchExecutor(pf).execute(queries)
-        from repro.storage.executor import QueryExecutor
-
-        for query, batch_records in zip(queries, report.records_per_query):
+        report = BatchEngine(pf).execute(queries)
+        for query, result in zip(queries, report.results):
             single = QueryExecutor(pf).execute(query)
-            assert sorted(map(str, batch_records)) == sorted(
-                map(str, single.records)
-            )
+            assert result.records == single.records
 
     def test_disjoint_queries_share_nothing(self):
         pf = self._loaded()
@@ -93,7 +90,7 @@ class TestBatchExecutor:
             PartialMatchQuery.exact(FS, (0, 0)),
             PartialMatchQuery.exact(FS, (1, 1)),
         ]
-        report = BatchExecutor(pf).execute(queries)
+        report = BatchEngine(pf).execute(queries)
         assert report.reads_saved == 0
         assert report.sharing_factor == 1.0
 
@@ -102,14 +99,14 @@ class TestBatchExecutor:
         # both leave field 1 free and share field-0 slices partially via
         # the full scan
         queries = [pf.query({0: 3}), PartialMatchQuery.full_scan(FS)]
-        report = BatchExecutor(pf).execute(queries)
+        report = BatchEngine(pf).execute(queries)
         assert report.reads_saved == 8  # the {0:3} slice is inside the scan
-        assert report.bucket_reads == FS.bucket_count
+        assert report.unique_reads == FS.bucket_count
 
     def test_empty_batch(self):
         pf = self._loaded()
-        report = BatchExecutor(pf).execute([])
-        assert report.bucket_reads == 0
+        report = BatchEngine(pf).execute([])
+        assert report.unique_reads == 0
         assert report.sharing_factor == 1.0
         assert report.response_time_ms == 0.0
 
@@ -117,11 +114,12 @@ class TestBatchExecutor:
         pf = self._loaded()
         other = FileSystem.of(4, 8, m=8)
         with pytest.raises(QueryError):
-            BatchExecutor(pf).execute([PartialMatchQuery.full_scan(other)])
+            BatchEngine(pf).execute([PartialMatchQuery.full_scan(other)])
 
     def test_device_stats_accounted(self):
         pf = self._loaded()
         before = sum(d.stats.bucket_reads for d in pf.devices)
-        BatchExecutor(pf).execute([PartialMatchQuery.full_scan(FS)])
+        BatchEngine(pf).execute([PartialMatchQuery.full_scan(FS)])
         after = sum(d.stats.bucket_reads for d in pf.devices)
-        assert after - before == FS.bucket_count
+        # The engine reads each stored bucket once; empty ones cost no read.
+        assert after - before == sum(d.store.bucket_count for d in pf.devices)

@@ -649,6 +649,20 @@ class TestMakeDurableFile:
         assert isinstance(durable.file, PartitionedFile)
         assert isinstance(durable.devices[0].store, ChecksummedBucketStore)
 
+    def test_unreplicated_execute_is_the_batch_of_one(self):
+        from repro.storage.executor import QueryExecutor
+
+        durable = make_durable_file(
+            "fx", fields=(4, 4), devices=8, replicate=False
+        )
+        durable.insert_all(_records(64))
+        query = durable.query({1: 2})
+        got = durable.execute(query)
+        want = QueryExecutor(durable.file).execute(query)
+        assert got.records == want.records
+        assert got.to_dict() == want.to_dict()
+        assert durable.search({1: 2}).records == want.records
+
     def test_crash_after_arms_the_wal(self):
         durable = make_durable_file(
             "fx", fields=(4, 4), devices=8, crash_after=2

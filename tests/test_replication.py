@@ -160,3 +160,66 @@ class TestFailureMasking:
         assert rf.execute(query).strict_optimal
         rf.fail_device(0)
         assert not rf.execute(query).strict_optimal
+
+
+class TestRecordOrder:
+    """``ReplicatedFile.execute`` lists records in primary-device order —
+    the plain executor's order, and the degraded runtime's."""
+
+    FS = FileSystem.of(8, 4, 2, m=8)
+
+    def _files(self):
+        import random
+
+        from repro.storage.parallel_file import PartitionedFile
+
+        rng = random.Random(11)
+        records = [
+            tuple(rng.randrange(64) for __ in range(3)) for __ in range(400)
+        ]
+        rf = ReplicatedFile(ChainedReplicaScheme(FXDistribution(self.FS)))
+        pf = PartitionedFile(FXDistribution(self.FS))
+        rf.insert_all(records)
+        pf.insert_all(records)
+        return rf, pf
+
+    def _queries(self, rf):
+        import random
+
+        rng = random.Random(3)
+        return [
+            rf.query(
+                {i: rng.randrange(64) for i in range(3) if rng.random() < 0.5}
+            )
+            for __ in range(50)
+        ]
+
+    def test_fault_free_lists_equal_the_plain_executor(self):
+        from repro.runtime.degraded import DegradedExecutor
+        from repro.storage.executor import QueryExecutor
+
+        rf, pf = self._files()
+        plain = QueryExecutor(pf)
+        runtime = DegradedExecutor(rf)
+        for query in self._queries(rf):
+            got = rf.execute(query).records
+            assert got == plain.execute(query).records
+            assert got == runtime.execute(query).records
+
+    @pytest.mark.parametrize("failed", [0, 5, 7])
+    def test_one_failed_device_matches_the_degraded_runtime(self, failed):
+        from repro.runtime.degraded import DegradedExecutor
+        from repro.runtime.faults import FaultPlan
+
+        rf, __ = self._files()
+        want = [rf.execute(query).records for query in self._queries(rf)]
+        rf.fail_device(failed)
+        runtime = DegradedExecutor(
+            rf, FaultPlan(failed_devices=frozenset({failed}))
+        )
+        for query, fault_free in zip(self._queries(rf), want):
+            got = rf.execute(query)
+            degraded = runtime.execute(query)
+            assert got.records == degraded.records == fault_free
+            assert got.buckets_per_device == degraded.buckets_per_device
+            assert got.buckets_per_device[failed] == 0

@@ -442,3 +442,237 @@ class TestConcurrentReads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+# ----------------------------------------------------------------------
+# Every reader takes the same per-device split
+# ----------------------------------------------------------------------
+def oracle_shares(method, query) -> list[list]:
+    """Each device's qualified buckets from its generator, device order."""
+    from repro.analysis.box import box_qualified_on_device
+    from repro.query.box import BoxQuery
+
+    devices = range(method.filesystem.m)
+    if isinstance(query, BoxQuery):
+        return [list(box_qualified_on_device(method, d, query)) for d in devices]
+    return [list(method.qualified_on_device(d, query)) for d in devices]
+
+
+def oracle_records(stores, shares) -> list:
+    """The records of each share's buckets, read from *stores* (one per
+    share) without touching device accounting."""
+    return [
+        record
+        for store, share in zip(stores, shares)
+        for bucket in share
+        for record in store.records_in(bucket)
+    ]
+
+
+def multiset(records, hasher, query) -> list:
+    """The trivial oracle: filter the stored record multiset."""
+    return sorted(r for r in records if query.matches(hasher.bucket_of(r)))
+
+
+@st.composite
+def loaded_records(draw, names=("fx", "modulo", "gdm", "random", "spanning")):
+    """A method shape, its records and a partial match query mix."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([2, 4, 8]))
+    sizes = tuple(draw(st.sampled_from([2, 4, 8, 16])) for __ in range(n))
+    name = draw(st.sampled_from(names))
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    records = [
+        tuple(rng.randrange(s) for s in sizes)
+        for __ in range(draw(st.integers(0, 80)))
+    ]
+    specs = [{}] + [
+        {i: rng.randrange(sizes[i]) for i in range(n) if rng.random() < 0.5}
+        for __ in range(draw(st.integers(1, 5)))
+    ]
+    return name, sizes, m, records, specs, draw(st.integers(0, m - 1))
+
+
+def _box(fs):
+    from repro.query.box import BoxQuery
+
+    return BoxQuery(fs, tuple(range(0, size, 2) for size in fs.field_sizes))
+
+
+class TestEveryReaderTakesTheSplit:
+    @given(loaded_records())
+    @settings(max_examples=30, deadline=None)
+    def test_degraded_executor_on_a_plain_file(self, case):
+        from repro.distribution.base import SeparableMethod
+        from repro.runtime.degraded import DegradedExecutor
+        from repro.runtime.faults import FaultPlan
+
+        name, sizes, m, records, specs, failed = case
+        pf = PartitionedFile(make_method(name, fields=sizes, devices=m))
+        pf.insert_all(records)
+        oracle_file = PartitionedFile(make_method(name, fields=sizes, devices=m))
+        oracle_file.insert_all(records)
+        queries = [pf.query(spec) for spec in specs]
+        if isinstance(pf.method, SeparableMethod):
+            queries.append(_box(pf.filesystem))
+        stores = [d.store for d in pf.devices]
+        fault_free = DegradedExecutor(pf)
+        degraded = DegradedExecutor(
+            pf, FaultPlan(failed_devices=frozenset({failed}))
+        )
+        for query in queries:
+            shares = oracle_shares(pf.method, query)
+            run = (
+                fault_free.execute
+                if isinstance(query, PartialMatchQuery)
+                else fault_free.execute_box
+            )
+            got = run(query)
+            assert got.records == oracle_records(stores, shares)
+            assert got.buckets_per_device == [len(s) for s in shares]
+            assert sorted(got.records) == multiset(
+                records, pf.multikey_hash, query
+            )
+            # The same read requests as the per-device generator oracle.
+            for device, share in zip(oracle_file.devices, shares):
+                device.read_buckets(share)
+            assert device_stats(pf) == device_stats(oracle_file)
+
+            run = (
+                degraded.execute
+                if isinstance(query, PartialMatchQuery)
+                else degraded.execute_box
+            )
+            got = run(query)
+            lost = list(shares)
+            lost[failed] = []
+            assert got.records == oracle_records(stores, lost)
+            assert got.lost_buckets == len(shares[failed])
+            assert sorted(got.records) == sorted(
+                r
+                for r in multiset(records, pf.multikey_hash, query)
+                if pf.method.device_of(pf.multikey_hash.bucket_of(r)) != failed
+            )
+            for device, share in zip(oracle_file.devices, lost):
+                if share:
+                    device.read_buckets(share)
+            assert device_stats(pf) == device_stats(oracle_file)
+
+    @given(loaded_records())
+    @settings(max_examples=30, deadline=None)
+    def test_replicated_readers(self, case):
+        from repro.distribution.base import SeparableMethod
+        from repro.distribution.replicated import ChainedReplicaScheme
+        from repro.runtime.degraded import DegradedExecutor
+        from repro.runtime.faults import FaultPlan
+        from repro.storage.replicated_file import ReplicatedFile
+
+        name, sizes, m, records, specs, failed = case
+        scheme = ChainedReplicaScheme(make_method(name, fields=sizes, devices=m))
+        rf = ReplicatedFile(scheme)
+        rf.insert_all(records)
+        queries = [rf.query(spec) for spec in specs]
+        boxes = [_box(rf.filesystem)]
+        if not isinstance(scheme.base, SeparableMethod):
+            boxes = []
+        stores = [d.store for d in rf.devices]
+        backup = (failed + scheme.offset) % m
+        for failures in ((), (failed,)):
+            for device in failures:
+                rf.fail_device(device)
+            runtime = DegradedExecutor(
+                rf, FaultPlan(failed_devices=frozenset(failures))
+            )
+            for query in queries + boxes:
+                shares = oracle_shares(scheme.base, query)
+                served = [len(s) for s in shares]
+                if failures:
+                    served[backup] += served[failed]
+                    served[failed] = 0
+                want = oracle_records(stores, shares)
+                filtered = multiset(records, rf.multikey_hash, query)
+                got = (
+                    runtime.execute(query)
+                    if isinstance(query, PartialMatchQuery)
+                    else runtime.execute_box(query)
+                )
+                assert got.records == want
+                assert sorted(got.records) == filtered
+                assert got.buckets_per_device == served
+                assert got.lost_buckets == 0
+                if isinstance(query, PartialMatchQuery):
+                    got = rf.execute(query)
+                    assert got.records == want
+                    assert sorted(got.records) == filtered
+                    assert got.buckets_per_device == served
+                    assert rf.degraded_histogram(query) == served
+                    assert got.served_by_backup == (
+                        len(shares[failed]) if failures else 0
+                    )
+
+    @given(loaded_records(names=("random", "spanning")))
+    @settings(max_examples=30, deadline=None)
+    def test_non_separable_planner_and_read_one(self, case):
+        from repro.core.inverse import bucket_strides
+        from repro.engine.plan import ArrayBatchPlanner
+
+        name, sizes, m, records, specs, __ = case
+        pf = PartitionedFile(make_method(name, fields=sizes, devices=m))
+        pf.insert_all(records)
+        queries = [pf.query(spec) for spec in specs]
+        stores = [d.store for d in pf.devices]
+        strides = bucket_strides(pf.filesystem).tolist()
+        plan = ArrayBatchPlanner(pf.method).plan(queries)
+        report = BatchEngine(pf).execute(queries)
+        for index, query in enumerate(queries):
+            shares = oracle_shares(pf.method, query)
+            slot = plan.slot_of[index]
+            for device, share in enumerate(shares):
+                flats = [
+                    sum(v * s for v, s in zip(bucket, strides))
+                    for bucket in share
+                ]
+                assert plan.slices[(slot, device)].tolist() == flats
+            want = oracle_records(stores, shares)
+            filtered = multiset(records, pf.multikey_hash, query)
+            for got in (report.results[index], BatchEngine(pf).read_one(query)[0]):
+                assert got.records == want
+                assert sorted(got.records) == filtered
+                assert got.buckets_per_device == [len(s) for s in shares]
+
+
+class TestDynamicFileSearch:
+    @given(st.integers(0, 2**20), st.sampled_from([2, 4, 8]))
+    @settings(max_examples=20, deadline=None)
+    def test_search_across_doublings(self, seed, m):
+        from repro.hashing.fields import FileSystem
+        from repro.storage.dynamic_file import DynamicPartitionedFile
+
+        rng = random.Random(seed)
+        dyn = DynamicPartitionedFile(FileSystem.of(2, 2, m=m), max_occupancy=2.0)
+        records = []
+        for __ in range(4):
+            for __ in range(24):
+                record = (rng.randrange(40), rng.randrange(40))
+                dyn.insert(record)
+                records.append(record)
+            for __ in range(4):
+                spec = {
+                    i: rng.randrange(40) for i in range(2) if rng.random() < 0.6
+                }
+                query = dyn.query(spec)
+                shares = oracle_shares(dyn.method, query)
+                want = [
+                    record
+                    for record in oracle_records(
+                        [d.store for d in dyn.devices], shares
+                    )
+                    if all(record[i] == v for i, v in spec.items())
+                ]
+                got = dyn.search(spec)
+                assert got == want
+                assert sorted(got) == sorted(
+                    r for r in records
+                    if all(r[i] == v for i, v in spec.items())
+                )
+        assert dyn.doublings
